@@ -25,8 +25,9 @@ use std::sync::atomic::Ordering;
 
 use crate::anchor::SbState;
 use crate::descriptor::{Desc, DescKind};
+use crate::frontier;
 use crate::heap::Ralloc;
-use crate::layout::MAX_SHARDS;
+use crate::layout::{Region, MAX_SHARDS};
 use crate::lists::DescList;
 use crate::size_class::{class_max_count, NUM_CLASSES, SB_SIZE};
 
@@ -78,13 +79,10 @@ pub fn check_heap(heap: &Ralloc) -> CheckReport {
     let used = inner.used_sb();
     let mut report = CheckReport { superblocks: used, ..Default::default() };
 
-    // Rule 1: geometry, including the reserve/commit frontier: the
-    // persisted frontier word must lie between the descriptor region's
-    // end and the reserved span, never exceed what the pool actually has
-    // committed, and must cover every carved superblock (the grow
-    // protocol persists the frontier before any `used` bump into it).
+    // Rule 1: geometry, including both region frontiers: each persisted
+    // frontier word must obey the rule adoption and recovery enforce.
     // SAFETY: header words.
-    let committed_word = unsafe {
+    unsafe {
         if pool.read_u64(crate::layout::MAGIC_OFF) != crate::layout::MAGIC {
             report.violate("geometry", "bad magic".into());
         }
@@ -94,63 +92,14 @@ pub fn check_heap(heap: &Ralloc) -> CheckReport {
         if pool.read_u64(crate::layout::MAX_SB_OFF) != geo.max_sb as u64 {
             report.violate("geometry", "capacity mismatch".into());
         }
-        pool.read_u64(crate::layout::COMMITTED_LEN_OFF) as usize
-    };
+    }
     if used > geo.max_sb {
         report.violate("geometry", format!("used {used} exceeds capacity {}", geo.max_sb));
     }
-    if committed_word < geo.min_committed() || committed_word > pool.len() {
-        report.violate(
-            "geometry",
-            format!(
-                "committed frontier {committed_word} outside [{}, {}]",
-                geo.min_committed(),
-                pool.len()
-            ),
-        );
-    } else {
-        if committed_word > pool.committed_len() {
-            report.violate(
-                "geometry",
-                format!(
-                    "persisted frontier {committed_word} exceeds the pool's committed \
-                     prefix ({})",
-                    pool.committed_len()
-                ),
-            );
+    for region in Region::ALL {
+        if let Err(e) = frontier::validate(pool, geo, region, used) {
+            report.violate("geometry", e);
         }
-        if used > geo.committed_sb(committed_word) {
-            report.violate(
-                "geometry",
-                format!(
-                    "used {used} superblocks but the persisted frontier covers only {}",
-                    geo.committed_sb(committed_word)
-                ),
-            );
-        }
-    }
-    // The descriptor region's frontier word (v5) obeys the same protocol
-    // against its own region: within [desc_off, sb_off], and covering
-    // every carved superblock's descriptor.
-    // SAFETY: header word.
-    let desc_word = unsafe { pool.read_u64(crate::layout::DESC_COMMITTED_LEN_OFF) } as usize;
-    if desc_word < geo.min_desc_committed() || desc_word > geo.sb_off {
-        report.violate(
-            "geometry",
-            format!(
-                "descriptor frontier {desc_word} outside [{}, {}]",
-                geo.min_desc_committed(),
-                geo.sb_off
-            ),
-        );
-    } else if used > geo.desc_committed_sb(desc_word) {
-        report.violate(
-            "geometry",
-            format!(
-                "used {used} superblocks but the descriptor frontier covers only {}",
-                geo.desc_committed_sb(desc_word)
-            ),
-        );
     }
 
     // Collect list membership first.

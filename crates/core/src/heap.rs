@@ -30,11 +30,11 @@ use telemetry::{Counter, EventKind, Gauge, Histogram, Journal, Registry, Sampler
 use crate::anchor::{Anchor, SbState};
 use crate::descriptor::{Desc, DescKind};
 use crate::flight::{self, FlightLevel, FlightRecorder, FlightScan};
+use crate::frontier::{self, Frontier};
 use crate::gc::{trace_thunk, Trace, TraceFn};
 use crate::layout::{
-    Geometry, COMMITTED_LEN_OFF, DESC_COMMITTED_LEN_OFF, DIRTY_OFF, FLIGHT_HDR_SIZE, FLIGHT_OFF,
-    MAGIC, MAGIC_OFF, MAGIC_V3, MAGIC_V4, MAX_SB_OFF, META_SIZE, NUM_ROOTS, POOL_LEN_OFF,
-    USED_SB_OFF,
+    Geometry, Region, DESC_COMMITTED_LEN_OFF, DIRTY_OFF, FLIGHT_HDR_SIZE, FLIGHT_OFF, MAGIC,
+    MAGIC_OFF, MAGIC_V3, MAGIC_V4, MAX_SB_OFF, META_SIZE, NUM_ROOTS, POOL_LEN_OFF, USED_SB_OFF,
 };
 use crate::lists::DescList;
 use crate::remote::{RemoteBatch, RemoteRing};
@@ -63,42 +63,26 @@ fn prefetch_read(addr: usize) {
 
 static NEXT_HEAP_ID: AtomicU64 = AtomicU64::new(1);
 
-/// When the heap releases its fully-free committed tail back to the OS
-/// (the shrink half of the reserve/commit model). Shrink is only legal at
-/// quiescent points — `used` never decreases online — so the two hooks
-/// are clean [`Ralloc::close`] and the end of recovery. Env override:
-/// `RALLOC_SHRINK=off|close|recovery|both`.
+/// Whether the heap releases its fully-free committed tail back to the OS
+/// (the shrink half of the reserve/commit model) on its own. Shrink is
+/// only legal at quiescent points — `used` never decreases online — so
+/// the two hooks are clean [`Ralloc::close`] and the end of recovery.
+/// Env override: `RALLOC_SHRINK=off|both`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShrinkPolicy {
-    /// Never shrink automatically (PR-4 monotone-frontier behavior).
+    /// Never shrink automatically (monotone frontiers).
     /// [`Ralloc::shrink`] still works when called explicitly.
     Off,
-    /// Shrink on clean close only.
-    Close,
-    /// Shrink at the end of recovery only.
-    Recovery,
     /// Shrink at both quiescent points (the default).
     Both,
 }
 
 impl ShrinkPolicy {
-    #[inline]
-    pub(crate) fn at_close(self) -> bool {
-        matches!(self, ShrinkPolicy::Close | ShrinkPolicy::Both)
-    }
-
-    #[inline]
-    pub(crate) fn at_recovery(self) -> bool {
-        matches!(self, ShrinkPolicy::Recovery | ShrinkPolicy::Both)
-    }
-
     /// Parse an `RALLOC_SHRINK` value (pure, separately testable — unit
     /// tests must not mutate the process environment).
     fn parse(raw: &str) -> Option<ShrinkPolicy> {
         match raw.trim().to_ascii_lowercase().as_str() {
             "off" | "none" | "0" => Some(ShrinkPolicy::Off),
-            "close" => Some(ShrinkPolicy::Close),
-            "recovery" => Some(ShrinkPolicy::Recovery),
             "both" | "on" | "1" => Some(ShrinkPolicy::Both),
             _ => None,
         }
@@ -189,14 +173,9 @@ pub struct RallocConfig {
     /// once). `None` reserves exactly the `create` capacity argument.
     /// Env override: `RALLOC_MAX_CAP`.
     pub max_capacity: Option<usize>,
-    /// Frontier doubling policy: each grow multiplies the committed
-    /// superblock count by this factor (clamped to at least one fresh
-    /// superblock of progress and to the reserved ceiling). Values are
-    /// clamped to `1.0..=8.0`; the default 2.0 gives O(log n) grows.
-    pub growth_factor: f64,
-    /// When the committed frontier shrinks back (release of the trailing
-    /// fully-free superblock run at quiescent points). Env override:
-    /// `RALLOC_SHRINK=off|close|recovery|both`.
+    /// Whether the committed frontiers shrink back on their own (release
+    /// of the trailing fully-free superblock run at quiescent points).
+    /// Env override: `RALLOC_SHRINK=off|both`.
     pub shrink_policy: ShrinkPolicy,
     /// What the persistent flight recorder writes into the pool's
     /// crash-surviving event ring (see [`crate::flight`]). Forced to
@@ -231,7 +210,6 @@ impl Default for RallocConfig {
             flush_half: false,
             initial_capacity: None,
             max_capacity: None,
-            growth_factor: 2.0,
             shrink_policy: ShrinkPolicy::Both,
             flight_level: FlightLevel::Proto,
             remote_ring: true,
@@ -441,12 +419,6 @@ impl SlowStats {
     }
 }
 
-/// Pool region indices for the v5 multi-region partition, in
-/// [`PmemPool::define_regions`] order: metadata, descriptors,
-/// superblocks.
-pub(crate) const REGION_DESC: usize = 1;
-pub(crate) const REGION_SB: usize = 2;
-
 /// Shared heap state. Public API lives on [`Ralloc`].
 pub struct HeapInner {
     pool: PmemPool,
@@ -457,9 +429,7 @@ pub struct HeapInner {
     shards: u32,
     /// Return only half of an overflowing cache bin (Makalu-style).
     flush_half: bool,
-    /// Committed-frontier doubling factor (clamped at construction).
-    growth_factor: f64,
-    /// When the frontier shrinks back (close/recovery hooks).
+    /// Whether the frontiers shrink back at close and after recovery.
     shrink_policy: ShrinkPolicy,
     /// Bins parked by exited threads, adopted whole by future fills
     /// (bounded retention: at most [`MAX_PARKED_BINS`] per class).
@@ -484,19 +454,12 @@ pub struct HeapInner {
     /// zero entries — and its `'static` names are leaked exactly once
     /// here, not per export.
     ring_gauges: Mutex<HashMap<usize, (Gauge, Gauge)>>,
-    /// The superblock-region frontier (bytes) that is both committed in
-    /// the pool *and* whose metadata word has been flushed and fenced.
-    /// Carving reads this, never the raw pool frontier: a grow publishes
-    /// here only after the frontier word's fence, so a persisted `used`
-    /// can never outrun a persisted frontier (the crash-recoverable
-    /// ordering of the grow protocol).
-    committed_safe: AtomicU64,
-    /// The descriptor-region frontier (bytes), same publish discipline as
-    /// `committed_safe` against `DESC_COMMITTED_LEN_OFF`: a carve may
-    /// only use descriptors under this frontier, and it only rises after
-    /// the descriptor frontier word's fence — the same instance of the
-    /// grow protocol run independently for the descriptor region (v5).
-    desc_safe: AtomicU64,
+    /// The superblock region's committed frontier (see
+    /// [`crate::frontier`]).
+    sb: Frontier,
+    /// The descriptor region's committed frontier: the same protocol,
+    /// run independently against the region's own word (v5).
+    desc: Frontier,
     /// Bumped by crash simulation so stale thread caches are discarded.
     generation: AtomicU64,
     /// Thread-exit cache drains in flight. A thread's TLS destructor runs
@@ -669,16 +632,17 @@ impl HeapInner {
         unsafe { self.pool.atomic_u64(USED_SB_OFF) }.load(Ordering::Acquire) as usize
     }
 
-    /// Superblocks the heap may carve without growing: the durable
-    /// committed frontier's coverage.
-    pub(crate) fn committed_sb(&self) -> usize {
-        self.geo.committed_sb(self.committed_safe.load(Ordering::Acquire) as usize)
+    /// Both region frontiers, superblocks first (grow and shrink order).
+    pub(crate) fn frontiers(&self) -> [&Frontier; 2] {
+        [&self.sb, &self.desc]
     }
 
-    /// Descriptors the heap may use without growing the descriptor
-    /// region: the durable descriptor frontier's coverage.
-    pub(crate) fn desc_committed_sb(&self) -> usize {
-        self.geo.desc_committed_sb(self.desc_safe.load(Ordering::Acquire) as usize)
+    /// Record a protocol event in the volatile journal and the persistent
+    /// flight ring.
+    #[inline]
+    pub(crate) fn record(&self, kind: EventKind, a: u64, b: u64) {
+        self.journal.record(kind, a, b);
+        self.flight_record(kind, a, b);
     }
 
     /// One flat JSON time-series line for the sampler (JSONL schema; see
@@ -702,8 +666,8 @@ impl HeapInner {
              \"remote_ring_high_water\": {ring_hw}}}",
             telemetry::now_ms(),
             self.id,
-            self.committed_safe.load(Ordering::Acquire),
-            self.committed_sb(),
+            self.sb.safe(),
+            self.sb.covered(),
             self.used_sb(),
             s.cache_fills.get(),
             s.cache_fill_blocks.get(),
@@ -769,123 +733,6 @@ impl HeapInner {
         self.telemetry.gauge("remote_ring_high_water").set(hw_max as i64);
     }
 
-    /// Refresh the safe frontier from the durable frontier word (offline
-    /// use: recovery entry). After a crash the word holds the last fenced
-    /// value, which is always >= the published safe frontier, and an
-    /// eviction-style crash may even have persisted a *larger* word than
-    /// was ever published — both are valid committed space.
-    pub(crate) fn reload_frontier(&self) {
-        // SAFETY: metadata words.
-        let word = unsafe { self.pool.atomic_u64(COMMITTED_LEN_OFF) }.load(Ordering::Acquire);
-        self.committed_safe.fetch_max(word, Ordering::AcqRel);
-        let desc = unsafe { self.pool.atomic_u64(DESC_COMMITTED_LEN_OFF) }.load(Ordering::Acquire);
-        self.desc_safe.fetch_max(desc, Ordering::AcqRel);
-    }
-
-    /// Grow the committed frontier to cover at least `need_sb`
-    /// superblocks. Returns false only when `need_sb` exceeds the
-    /// reserved capacity (the heap's hard OOM).
-    ///
-    /// Crash-recoverable ordering, per growth step:
-    /// 1. `pool.commit_to` — the new space becomes addressable (pure
-    ///    mapping state, no durable effect);
-    /// 2. CAS-max the persisted frontier word, then flush + fence it;
-    /// 3. publish `committed_safe`, releasing carvers into the space.
-    ///
-    /// A crash after 1 loses nothing; after 2, recovery sees a larger
-    /// frontier with `used` still behind it (extra committed space,
-    /// never dangling state); only after 3 can a `used` bump covering
-    /// the new space be persisted — behind the already-durable frontier.
-    #[cold]
-    fn grow(&self, need_sb: usize) -> bool {
-        if need_sb > self.geo.max_sb {
-            return false;
-        }
-        loop {
-            let cur_sb = self.committed_sb();
-            if cur_sb >= need_sb {
-                return true;
-            }
-            // Doubling policy: geometric in superblocks, clamped to the
-            // request floor and the reserved ceiling.
-            let target_sb = ((cur_sb as f64 * self.growth_factor) as usize)
-                .max(need_sb)
-                .min(self.geo.max_sb);
-            let target = self.geo.committed_len_for_sb(target_sb);
-            self.pool.commit_region_to(REGION_SB, target);
-            // SAFETY: metadata offset, 8-aligned.
-            let word = unsafe { self.pool.atomic_u64(COMMITTED_LEN_OFF) };
-            let mut w = word.load(Ordering::Acquire);
-            while w < target as u64 {
-                match word.compare_exchange(
-                    w,
-                    target as u64,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => break,
-                    Err(cur) => w = cur,
-                }
-            }
-            self.persist(COMMITTED_LEN_OFF, 8);
-            self.journal.record(EventKind::GrowCommit, target as u64, 0);
-            self.flight_record(EventKind::GrowCommit, target as u64, 0);
-            self.committed_safe.fetch_max(target as u64, Ordering::AcqRel);
-            self.journal.record(EventKind::GrowPublish, target as u64, 0);
-            self.flight_record(EventKind::GrowPublish, target as u64, 0);
-            self.slow.heap_grows.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Grow the descriptor-region frontier to cover at least `need_sb`
-    /// descriptors — the same crash-recoverable ordering as [`Self::grow`]
-    /// run independently against the descriptor region's own frontier
-    /// word: commit the region → CAS-max `DESC_COMMITTED_LEN_OFF` →
-    /// flush + fence → publish `desc_safe`. A crash between any two steps
-    /// leaves at worst extra committed descriptor space with `used` still
-    /// behind it. Returns false only past the reserved capacity.
-    #[cold]
-    fn grow_desc(&self, need_sb: usize) -> bool {
-        if need_sb > self.geo.max_sb {
-            return false;
-        }
-        loop {
-            let cur_sb = self.desc_committed_sb();
-            if cur_sb >= need_sb {
-                return true;
-            }
-            // Same doubling policy as the superblock region, but the two
-            // frontiers advance independently — nothing couples their
-            // step sizes or timing beyond carve needing both coverages.
-            let target_sb = ((cur_sb as f64 * self.growth_factor) as usize)
-                .max(need_sb)
-                .min(self.geo.max_sb);
-            let target = self.geo.desc_committed_len_for_sb(target_sb);
-            self.pool.commit_region_to(REGION_DESC, target);
-            // SAFETY: metadata offset, 8-aligned.
-            let word = unsafe { self.pool.atomic_u64(DESC_COMMITTED_LEN_OFF) };
-            let mut w = word.load(Ordering::Acquire);
-            while w < target as u64 {
-                match word.compare_exchange(
-                    w,
-                    target as u64,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => break,
-                    Err(cur) => w = cur,
-                }
-            }
-            self.persist(DESC_COMMITTED_LEN_OFF, 8);
-            self.journal.record(EventKind::GrowDescCommit, target as u64, 0);
-            self.flight_record(EventKind::GrowDescCommit, target as u64, 0);
-            self.desc_safe.fetch_max(target as u64, Ordering::AcqRel);
-            self.journal.record(EventKind::GrowDescPublish, target as u64, 0);
-            self.flight_record(EventKind::GrowDescPublish, target as u64, 0);
-            self.slow.desc_grows.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// The shrink policy this heap runs under.
     #[inline]
     pub(crate) fn shrink_policy(&self) -> ShrinkPolicy {
@@ -893,32 +740,27 @@ impl HeapInner {
     }
 
     /// Release the trailing run of fully-free superblocks: unlink their
-    /// descriptors, lower `used`, lower the persisted frontier word, and
-    /// decommit the tail. Returns the number of superblocks released.
+    /// descriptors, lower `used`, then lower each region's frontier to
+    /// cover exactly the new `used` and decommit its tail. Returns the
+    /// number of superblocks released.
     ///
     /// **Quiescent-point only** — the caller guarantees no concurrent
     /// heap operation (clean close, end of recovery, or an explicit
     /// [`Ralloc::shrink`] under the same contract): `used` never
     /// decreases online, and the list surgery below is not lock-free.
     ///
-    /// Crash-recoverable ordering (the grow protocol's mirror image —
-    /// grow is commit → CAS-max word → flush+fence → publish; shrink is
-    /// unpublish → CAS-min word → flush+fence → decommit):
+    /// Crash-recoverable ordering (the grow protocol's mirror image):
     /// 1. unlink the released descriptors from the free/partial lists
     ///    (transient state: a crash here just means a dirty rebuild);
-    /// 2. *unpublish*: lower the persisted `used` word, flush + fence it,
-    ///    and pull `committed_safe` down so nothing could carve the tail
-    ///    (vacuous under quiescence, but keeps the published frontier and
-    ///    the durable words in lockstep);
-    /// 3. CAS-min the persisted frontier word down to cover exactly the
-    ///    new `used`, then flush + fence it;
-    /// 4. decommit the pool tail.
+    /// 2. lower the persisted `used` word and flush + fence it;
+    /// 3. per region, [`Frontier::shrink_to`]: unpublish → CAS-min word →
+    ///    flush+fence → decommit.
     ///
-    /// A crash after 2 leaves used' < frontier (extra committed space,
-    /// never dangling state); a crash between 3 and 4 leaves the durable
-    /// frontier below the still-mapped tail, which reopen/recovery heal
-    /// upward from the image — in every interleaving the durable frontier
-    /// covers every durably-`used` superblock.
+    /// The lowered `used` is durable before either word drops, so in
+    /// every interleaving each durable frontier covers every
+    /// durably-`used` superblock. Each region decides on its own: the
+    /// release covers the freed trailing run *and* any committed but
+    /// never carved overshoot, in either region.
     pub(crate) fn shrink_quiesced(&self) -> usize {
         let used = self.used_sb();
         // Interior superblocks of *live* large allocations carry stale
@@ -944,11 +786,7 @@ impl HeapInner {
             }
             new_used -= 1;
         }
-        // The release covers the freed trailing run *and* the
-        // committed-but-never-carved overshoot of the doubling policy, so
-        // the shrunken frontier lands exactly on the surviving `used`.
-        let committed_before = self.committed_sb();
-        if new_used == used && committed_before <= new_used {
+        if new_used == used && self.frontiers().iter().all(|f| f.safe() <= f.len_for(new_used)) {
             return 0;
         }
         // Step 1: unlink every released descriptor. They sit on the free
@@ -975,78 +813,20 @@ impl HeapInner {
                 }
             }
         }
-        // Step 2: unpublish. The persisted `used` must drop (and become
-        // durable) before the frontier word may, so no crash can observe
-        // a frontier below a persisted `used` superblock.
+        // Step 2: the persisted `used` must drop (and become durable)
+        // before any frontier word may.
         // SAFETY: metadata word, quiescent.
         unsafe { self.pool.atomic_u64(USED_SB_OFF) }
             .store(new_used as u64, Ordering::Release);
         self.persist(USED_SB_OFF, 8);
-        let target = self.geo.committed_len_for_sb(new_used);
-        debug_assert!(target >= self.geo.min_committed());
-        self.committed_safe.store(target as u64, Ordering::Release);
-        self.journal.record(EventKind::ShrinkUnpublish, target as u64, new_used as u64);
-        self.flight_record(EventKind::ShrinkUnpublish, target as u64, new_used as u64);
-        // Step 3: CAS-min the durable frontier word, then persist it.
-        // SAFETY: metadata word.
-        let word = unsafe { self.pool.atomic_u64(COMMITTED_LEN_OFF) };
-        let mut w = word.load(Ordering::Acquire);
-        while w > target as u64 {
-            match word.compare_exchange(w, target as u64, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => break,
-                Err(cur) => w = cur,
-            }
+        self.record(EventKind::ShrinkUnpublish, self.sb.len_for(new_used) as u64, new_used as u64);
+        // Step 3: each region lowers to cover `new_used` on its own.
+        let released = self.sb.shrink_to(self, new_used);
+        self.desc.shrink_to(self, new_used);
+        if released > 0 {
+            self.slow.heap_shrinks.fetch_add(1, Ordering::Relaxed);
+            self.slow.sb_released.fetch_add(released as u64, Ordering::Relaxed);
         }
-        self.persist(COMMITTED_LEN_OFF, 8);
-        // Step 4: release the tail.
-        self.pool.decommit_region_to(REGION_SB, target);
-        let released = committed_before.saturating_sub(new_used);
-        self.journal.record(
-            EventKind::ShrinkDecommit,
-            (released * SB_SIZE) as u64,
-            target as u64,
-        );
-        self.flight_record(EventKind::ShrinkDecommit, (released * SB_SIZE) as u64, target as u64);
-        // Steps 3'/4' for the descriptor region: its own frontier word
-        // comes down to cover exactly the surviving `used` (the lowered
-        // `used` is already durable from step 2, so no crash point can
-        // observe a descriptor frontier below a persisted `used`), then
-        // the region tail is released. Runs as its own protocol instance,
-        // mirroring the independent grow.
-        let desc_target = self.geo.desc_committed_len_for_sb(new_used);
-        let desc_before = self.desc_safe.load(Ordering::Acquire) as usize;
-        if desc_target < desc_before {
-            self.desc_safe.store(desc_target as u64, Ordering::Release);
-            // SAFETY: metadata word.
-            let word = unsafe { self.pool.atomic_u64(DESC_COMMITTED_LEN_OFF) };
-            let mut w = word.load(Ordering::Acquire);
-            while w > desc_target as u64 {
-                match word.compare_exchange(
-                    w,
-                    desc_target as u64,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => break,
-                    Err(cur) => w = cur,
-                }
-            }
-            self.persist(DESC_COMMITTED_LEN_OFF, 8);
-            self.pool.decommit_region_to(REGION_DESC, desc_target);
-            self.journal.record(
-                EventKind::ShrinkDescDecommit,
-                (desc_before - desc_target) as u64,
-                desc_target as u64,
-            );
-            self.flight_record(
-                EventKind::ShrinkDescDecommit,
-                (desc_before - desc_target) as u64,
-                desc_target as u64,
-            );
-        }
-        self.slow.heap_shrinks.fetch_add(1, Ordering::Relaxed);
-        self.slow.sb_released.fetch_add(released as u64, Ordering::Relaxed);
         released
     }
 
@@ -1130,18 +910,12 @@ impl HeapInner {
         let used = unsafe { self.pool.atomic_u64(USED_SB_OFF) };
         loop {
             let u = used.load(Ordering::Acquire);
-            if u as usize + n > self.committed_sb() {
-                if !self.grow(u as usize + n) {
-                    return None; // out of reserved space
-                }
-                continue;
-            }
-            // The descriptor region's frontier is independent (v5): a
-            // carve needs both its superblocks *and* its descriptors
-            // under their respective durable frontiers before `used` may
+            let need = u as usize + n;
+            // A carve needs both its superblocks *and* its descriptors
+            // under their regions' durable frontiers before `used` may
             // cover them.
-            if u as usize + n > self.desc_committed_sb() {
-                if !self.grow_desc(u as usize + n) {
+            if let Some(f) = self.frontiers().into_iter().find(|f| f.covered() < need) {
+                if !f.grow(self, need) {
                     return None; // out of reserved space
                 }
                 continue;
@@ -1152,8 +926,7 @@ impl HeapInner {
             {
                 self.persist(USED_SB_OFF, 8);
                 self.slow.sb_carved.fetch_add(n as u64, Ordering::Relaxed);
-                self.journal.record(EventKind::Carve, u, n as u64);
-                self.flight_record(EventKind::Carve, u, n as u64);
+                self.record(EventKind::Carve, u, n as u64);
                 return Some(u as u32);
             }
         }
@@ -1182,8 +955,7 @@ impl HeapInner {
                 self.slow.bin_adopts.fetch_add(1, Ordering::Relaxed);
                 self.slow.cache_fills.fetch_add(1, Ordering::Relaxed);
                 self.slow.cache_fill_blocks.fetch_add(warm.len() as u64, Ordering::Relaxed);
-                self.journal.record(EventKind::Fill, warm.len() as u64, class as u64);
-                self.flight_record(EventKind::Fill, warm.len() as u64, class as u64);
+                self.record(EventKind::Fill, warm.len() as u64, class as u64);
                 *bin = warm;
                 return true;
             }
@@ -1198,8 +970,7 @@ impl HeapInner {
         if self.rings.is_some() && self.drain_remote(class, home, bin, home) {
             self.slow.cache_fills.fetch_add(1, Ordering::Relaxed);
             self.slow.cache_fill_blocks.fetch_add(bin.len() as u64, Ordering::Relaxed);
-            self.journal.record(EventKind::Fill, bin.len() as u64, class as u64);
-            self.flight_record(EventKind::Fill, bin.len() as u64, class as u64);
+            self.record(EventKind::Fill, bin.len() as u64, class as u64);
             return true;
         }
         let free = DescList::free_list(&self.geo);
@@ -1279,8 +1050,7 @@ impl HeapInner {
                 }
                 if pop.stolen {
                     self.slow.partial_steals.fetch_add(1, Ordering::Relaxed);
-                    self.journal.record(EventKind::Steal, idx as u64, class as u64);
-                    self.flight_record(EventKind::Steal, idx as u64, class as u64);
+                    self.record(EventKind::Steal, idx as u64, class as u64);
                 } else {
                     self.slow.partial_pops_home.fetch_add(1, Ordering::Relaxed);
                 }
@@ -1329,8 +1099,7 @@ impl HeapInner {
                 }
                 self.slow.cache_fills.fetch_add(1, Ordering::Relaxed);
                 self.slow.cache_fill_blocks.fetch_add(keep_n as u64, Ordering::Relaxed);
-                self.journal.record(EventKind::Fill, keep_n as u64, class as u64);
-                self.flight_record(EventKind::Fill, keep_n as u64, class as u64);
+                self.record(EventKind::Fill, keep_n as u64, class as u64);
                 return true;
             }
             // No partial superblock: take a free one, scavenge an empty
@@ -1361,8 +1130,7 @@ impl HeapInner {
                             self.slow
                                 .cache_fill_blocks
                                 .fetch_add(bin.len() as u64, Ordering::Relaxed);
-                            self.journal.record(EventKind::Fill, bin.len() as u64, class as u64);
-                            self.flight_record(EventKind::Fill, bin.len() as u64, class as u64);
+                            self.record(EventKind::Fill, bin.len() as u64, class as u64);
                             return true;
                         }
                         match self.carve(1) {
@@ -1417,8 +1185,7 @@ impl HeapInner {
             }
             self.slow.cache_fills.fetch_add(1, Ordering::Relaxed);
             self.slow.cache_fill_blocks.fetch_add(keep as u64, Ordering::Relaxed);
-            self.journal.record(EventKind::Fill, keep as u64, class as u64);
-            self.flight_record(EventKind::Fill, keep as u64, class as u64);
+            self.record(EventKind::Fill, keep as u64, class as u64);
             return true;
         }
     }
@@ -1566,8 +1333,7 @@ impl HeapInner {
             self.slow.remote_ring_overflows.fetch_add(1, Ordering::Relaxed);
             self.slow.remote_anchor_cas.fetch_add(1, Ordering::Relaxed);
             let n = displaced.blocks.len() as u64;
-            self.journal.record(EventKind::RemoteRingOverflow, displaced.sb as u64, n);
-            self.flight_record(EventKind::RemoteRingOverflow, displaced.sb as u64, n);
+            self.record(EventKind::RemoteRingOverflow, displaced.sb as u64, n);
             self.push_batch(displaced.sb as usize, &displaced.blocks, home);
         }
     }
@@ -1797,8 +1563,7 @@ impl HeapInner {
         }
         self.slow.cache_flushes.fetch_add(1, Ordering::Relaxed);
         self.slow.cache_flushes_blocks.fetch_add(n, Ordering::Relaxed);
-        self.journal.record(EventKind::Flush, n, 0);
-        self.flight_record(EventKind::Flush, n, 0);
+        self.record(EventKind::Flush, n, 0);
         self.flush_blocks(bin.blocks_mut());
         bin.clear();
     }
@@ -1816,8 +1581,7 @@ impl HeapInner {
         self.slow.cache_flushes.fetch_add(1, Ordering::Relaxed);
         self.slow.cache_flushes_blocks.fetch_add(half as u64, Ordering::Relaxed);
         self.slow.half_flushes.fetch_add(1, Ordering::Relaxed);
-        self.journal.record(EventKind::Flush, half as u64, 0);
-        self.flight_record(EventKind::Flush, half as u64, 0);
+        self.record(EventKind::Flush, half as u64, 0);
         self.flush_blocks(&mut bin.blocks_mut()[..half]);
         bin.drain_front(half);
     }
@@ -1937,7 +1701,7 @@ impl Ralloc {
         let reserved = Geometry::pool_len_for_capacity(max_cap);
         let geo = Geometry::from_pool_len(reserved);
         let init_sb = init_cap.div_ceil(SB_SIZE).clamp(1, geo.max_sb);
-        (reserved, geo.committed_len_for_sb(init_sb))
+        (reserved, geo.span(Region::Sb).len_for(init_sb))
     }
 
     fn create_inner(capacity: usize, cfg: RallocConfig, file: Option<PathBuf>) -> Ralloc {
@@ -2114,25 +1878,25 @@ impl Ralloc {
 
     fn fresh(pool: PmemPool, cfg: &RallocConfig, file: Option<PathBuf>) -> Ralloc {
         let geo = Geometry::from_pool_len(pool.len());
-        // A fresh physical prefix must at least reach the superblock
-        // array's base (the smallest legal superblock frontier).
-        pool.commit_to(geo.min_committed());
+        // Every path here (create, mapped create, and adoption of an image
+        // that is not a heap) hands over a physical prefix that already
+        // reaches the superblock array's base: the metadata and
+        // descriptor regions are always backed.
+        let sb = geo.span(Region::Sb);
+        assert!(pool.committed_len() >= sb.base, "fresh pool does not back its descriptor region");
         flight::init_ring(&pool);
         // The descriptor region starts committed in lockstep with the
         // initially committed superblocks; from here on the two
         // frontiers advance and retreat independently.
-        let init_sb = geo.committed_sb(pool.committed_len());
+        let init_sb = sb.covered(pool.committed_len());
         // SAFETY: fresh pool, exclusive access, metadata offsets in bounds.
         unsafe {
             pool.write_u64(MAGIC_OFF, MAGIC);
             pool.write_u64(POOL_LEN_OFF, pool.len() as u64);
             pool.write_u64(MAX_SB_OFF, geo.max_sb as u64);
             pool.write_u64(USED_SB_OFF, 0);
-            pool.write_u64(COMMITTED_LEN_OFF, pool.committed_len() as u64);
-            pool.write_u64(
-                DESC_COMMITTED_LEN_OFF,
-                geo.desc_committed_len_for_sb(init_sb) as u64,
-            );
+            pool.write_u64(Region::Sb.word_off(), pool.committed_len() as u64);
+            pool.write_u64(Region::Desc.word_off(), geo.span(Region::Desc).len_for(init_sb) as u64);
             pool.write_u64(DIRTY_OFF, 1);
         }
         let heap = Self::build(pool, geo, cfg, file, FlightScan::default());
@@ -2223,60 +1987,27 @@ impl Ralloc {
             assert_eq!(pool.read_u64(POOL_LEN_OFF), pool.len() as u64, "pool length mismatch");
             assert_eq!(pool.read_u64(MAX_SB_OFF), geo.max_sb as u64, "geometry mismatch");
         }
-        // Frontier validation. The image's persisted frontier word must
-        // lie inside the image itself: a frontier past the end of the
-        // file means the file was truncated (or the word corrupted), and
-        // opening it would fabricate zeroed "committed" space where user
-        // data used to be — refuse rather than silently lose data. The
-        // image may legitimately extend *past* the word (a crash image
-        // captures the volatile frontier; the word records the last
-        // *fenced* one), in which case the word is healed upward: file
-        // content is durable by definition.
+        // Frontier validation: a word past the end of the file means the
+        // file was truncated (or the word corrupted), and opening it would
+        // fabricate zeroed "committed" space where user data used to be —
+        // refuse rather than silently lose data.
         // SAFETY: header read.
-        let frontier = unsafe { pool.read_u64(COMMITTED_LEN_OFF) } as usize;
-        assert!(
-            frontier >= geo.min_committed() && frontier <= pool.len(),
-            "corrupt committed frontier {frontier} (reserved {})",
-            pool.len()
-        );
-        assert!(
-            frontier <= pool.committed_len(),
-            "image frontier {frontier} exceeds the file ({} bytes): refusing a \
-             truncated heap image",
-            pool.committed_len()
-        );
         let used = unsafe { pool.read_u64(USED_SB_OFF) } as usize;
-        assert!(
-            used <= geo.committed_sb(pool.committed_len()),
-            "used superblocks ({used}) extend past the file's committed prefix: \
-             refusing a truncated heap image"
-        );
-        // Descriptor-frontier validation, the same discipline against the
-        // descriptor region's own word. The descriptor region always lies
-        // inside the physical prefix (which never retreats below
-        // `sb_off`), so there is no truncation case to refuse — the word
-        // must simply lie within its region and cover every used
-        // superblock's descriptor, which the grow protocol guarantees
-        // (the word is fenced before `used` may rise past it).
-        // SAFETY: header read.
-        let desc_frontier = unsafe { pool.read_u64(DESC_COMMITTED_LEN_OFF) } as usize;
-        assert!(
-            desc_frontier >= geo.min_desc_committed() && desc_frontier <= geo.sb_off,
-            "corrupt descriptor frontier {desc_frontier} (descriptor region spans \
-             {}..{})",
-            geo.min_desc_committed(),
-            geo.sb_off
-        );
-        assert!(
-            used <= geo.desc_committed_sb(desc_frontier),
-            "used superblocks ({used}) have descriptors past the descriptor \
-             frontier ({desc_frontier}): refusing a corrupt heap image"
-        );
-        let healed = frontier < pool.committed_len();
+        for region in Region::ALL {
+            if let Err(e) = frontier::validate(&pool, &geo, region, used) {
+                panic!("{e}: refusing a corrupt heap image");
+            }
+        }
+        // The image may legitimately extend *past* the superblock word (a
+        // crash image captures the volatile frontier; the word records the
+        // last *fenced* one). The superblock region is the pool's last, so
+        // its frontier is the physical prefix: heal the word upward, since
+        // file content is durable by definition.
+        // SAFETY: 8-aligned metadata word.
+        let sb_word = unsafe { pool.atomic_u64(Region::Sb.word_off()) };
+        let healed = (sb_word.load(Ordering::Acquire) as usize) < pool.committed_len();
         if healed {
-            // SAFETY: 8-aligned metadata word.
-            unsafe { pool.atomic_u64(COMMITTED_LEN_OFF) }
-                .store(pool.committed_len() as u64, Ordering::Release);
+            sb_word.store(pool.committed_len() as u64, Ordering::Release);
         }
         // SAFETY: 8-aligned metadata word.
         let dirty = unsafe { pool.atomic_u64(DIRTY_OFF) }.load(Ordering::Acquire) == 1;
@@ -2286,7 +2017,7 @@ impl Ralloc {
         let preopen = flight::scan_pool(&pool);
         let heap = Self::build(pool, geo, cfg, file, preopen);
         if healed {
-            heap.inner.persist(COMMITTED_LEN_OFF, 8);
+            heap.inner.persist(Region::Sb.word_off(), 8);
         }
         // Mark dirty for the duration of this run (the paper's robust
         // mutex acquire): any crash from here on requires recovery. This
@@ -2315,24 +2046,21 @@ impl Ralloc {
         file: Option<PathBuf>,
         preopen_flight: FlightScan,
     ) -> Ralloc {
-        // Everything inside the pool's committed prefix is durable at
-        // build time (fresh: about to be persisted before first use;
-        // adopted: backed by the file), so carving may use all of it.
-        let committed_safe = AtomicU64::new(pool.committed_len() as u64);
-        // The descriptor frontier word is already in the header (fresh
-        // writes it before building; adoption validated it), and the pool
-        // learns the three-region tiling here so every later commit and
-        // decommit is region-scoped.
-        // SAFETY: header read.
-        let desc_word = unsafe { pool.read_u64(DESC_COMMITTED_LEN_OFF) } as usize;
-        let desc_safe = AtomicU64::new(desc_word as u64);
-        pool.define_regions(&[
-            RegionSpec { start: 0, end: META_SIZE, committed: META_SIZE },
-            RegionSpec { start: META_SIZE, end: geo.sb_off, committed: desc_word },
-            RegionSpec { start: geo.sb_off, end: pool.len(), committed: pool.committed_len() },
-        ]);
+        // Both frontier words are already in the header (fresh writes
+        // them before building; adoption validated and healed them), and
+        // they are durable: fresh persists the header before first use,
+        // an adopted image is backed by its file. So each frontier is
+        // published at its word, and the pool learns the three-region
+        // tiling here so every later commit and decommit is region-scoped.
         let telemetry = Registry::new();
         let slow = SlowStats::registered(&telemetry);
+        let sb = Frontier::new(&pool, &geo, Region::Sb, slow.heap_grows.clone());
+        let desc = Frontier::new(&pool, &geo, Region::Desc, slow.desc_grows.clone());
+        pool.define_regions(&[
+            RegionSpec { start: 0, end: META_SIZE, committed: META_SIZE },
+            desc.region_spec(),
+            sb.region_spec(),
+        ]);
         let journal_cap = shard::env_size("RALLOC_JOURNAL_CAP").unwrap_or(DEFAULT_JOURNAL_CAP);
         // Flight recorder: transient heaps persist nothing, so theirs is
         // forced off; otherwise env overrides config (shrink-policy
@@ -2370,7 +2098,6 @@ impl Ralloc {
                 transient: cfg.transient,
                 shards,
                 flush_half: shard::env_flag("RALLOC_FLUSH_HALF").unwrap_or(cfg.flush_half),
-                growth_factor: cfg.growth_factor.clamp(1.0, 8.0),
                 shrink_policy: std::env::var("RALLOC_SHRINK")
                     .ok()
                     .and_then(|v| ShrinkPolicy::parse(&v))
@@ -2379,8 +2106,8 @@ impl Ralloc {
                 rings,
                 ring_cursor: AtomicU64::new(0),
                 ring_gauges: Mutex::new(HashMap::new()),
-                committed_safe,
-                desc_safe,
+                sb,
+                desc,
                 generation: AtomicU64::new(0),
                 exit_drains: AtomicUsize::new(0),
                 closed: AtomicBool::new(false),
@@ -2567,7 +2294,7 @@ impl Ralloc {
         // Quiescent point: release the trailing fully-free run while the
         // heap is still marked dirty, so a crash mid-shrink triggers a
         // full rebuild rather than trusting half-shrunk lists.
-        if inner.shrink_policy.at_close() {
+        if inner.shrink_policy == ShrinkPolicy::Both {
             inner.shrink_quiesced();
         }
         inner.closed.store(true, Ordering::Release);
@@ -2736,8 +2463,8 @@ impl Ralloc {
             telemetry::now_ms(),
             inner.id,
             inner.used_sb(),
-            inner.committed_sb(),
-            inner.committed_safe.load(Ordering::Acquire),
+            inner.sb.covered(),
+            inner.sb.safe(),
             telemetry::export::to_json(&[
                 ("heap", &inner.telemetry),
                 ("pmem", inner.pool.stats().registry()),
@@ -2797,7 +2524,7 @@ impl Ralloc {
     /// Superblocks covered by the durable committed frontier — carving
     /// beyond this triggers a (cold-path) grow.
     pub fn committed_superblocks(&self) -> usize {
-        self.inner.committed_sb()
+        self.inner.sb.covered()
     }
 
     /// The reserved ceiling in superblocks; the heap can never grow past
@@ -2849,7 +2576,7 @@ impl std::fmt::Debug for Ralloc {
         f.debug_struct("Ralloc")
             .field("id", &self.inner.id)
             .field("used_sb", &self.inner.used_sb())
-            .field("committed_sb", &self.inner.committed_sb())
+            .field("committed_sb", &self.inner.sb.covered())
             .field("max_sb", &self.inner.geo.max_sb)
             .field("transient", &self.inner.transient)
             .finish()
@@ -3147,7 +2874,7 @@ mod batch_tests {
             )
         };
         assert!(
-            used <= geo.committed_sb(frontier),
+            used <= geo.span(Region::Sb).covered(frontier),
             "persisted used {used} outran persisted frontier {frontier}"
         );
         heap.recover();
@@ -3200,19 +2927,33 @@ mod batch_tests {
     fn shrink_policy_parses_and_gates() {
         for (raw, want) in [
             ("off", Some(ShrinkPolicy::Off)),
-            ("  CLOSE ", Some(ShrinkPolicy::Close)),
-            ("recovery", Some(ShrinkPolicy::Recovery)),
-            ("both", Some(ShrinkPolicy::Both)),
+            ("  BOTH ", Some(ShrinkPolicy::Both)),
             ("1", Some(ShrinkPolicy::Both)),
             ("0", Some(ShrinkPolicy::Off)),
+            // Only the two policies exist; one-hook spellings are rejected.
+            ("close", None),
+            ("recovery", None),
             ("garbage", None),
         ] {
             assert_eq!(ShrinkPolicy::parse(raw), want, "{raw:?}");
         }
-        assert!(ShrinkPolicy::Both.at_close() && ShrinkPolicy::Both.at_recovery());
-        assert!(ShrinkPolicy::Close.at_close() && !ShrinkPolicy::Close.at_recovery());
-        assert!(!ShrinkPolicy::Recovery.at_close() && ShrinkPolicy::Recovery.at_recovery());
-        assert!(!ShrinkPolicy::Off.at_close() && !ShrinkPolicy::Off.at_recovery());
+        // Off gates both hooks: neither a clean close nor recovery shrinks.
+        let cfg = RallocConfig {
+            initial_capacity: Some(1 << 20),
+            max_capacity: Some(8 << 20),
+            shrink_policy: ShrinkPolicy::Off,
+            ..RallocConfig::tracked()
+        };
+        let heap = Ralloc::create(1 << 20, cfg);
+        let held: Vec<_> = (0..20).map(|_| heap.malloc(SB_SIZE / 2 + 1)).collect();
+        for p in held {
+            heap.free(p);
+        }
+        let committed = heap.committed_superblocks();
+        heap.crash_simulated();
+        assert_eq!(heap.recover().shrunk_superblocks, 0);
+        heap.close().unwrap();
+        assert_eq!(heap.committed_superblocks(), committed, "Off must keep the frontier");
     }
 
     #[test]

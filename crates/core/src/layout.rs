@@ -21,11 +21,11 @@
 //!
 //! Since v5 the three regions are *independently committed*: the
 //! metadata region is always fully backed, while the descriptor and
-//! superblock regions each carry their own persisted committed frontier
-//! (`DESC_COMMITTED_LEN_OFF` / `COMMITTED_LEN_OFF`) and grow/shrink
-//! through their own instances of the frontier protocol, rather than the
-//! descriptor region being committed wholesale as a side effect of the
-//! superblock frontier.
+//! superblock regions ([`Region`]) each carry their own persisted
+//! committed frontier word ([`Region::word_off`]). [`Geometry::span`]
+//! gives each one's frontier arithmetic (base, unit, capacity, end), and
+//! one `Frontier` per region runs the same grow, shrink and validation
+//! code over it (see `crate::frontier`).
 
 use crate::size_class::SB_SIZE;
 
@@ -46,7 +46,7 @@ pub const MAGIC: u64 = 0x52_41_4C_4C_4F_43_00_05;
 
 /// The immediately-prior layout version. v4 used the same metadata field
 /// offsets but had no descriptor frontier: the whole descriptor region
-/// was implicitly committed (`min_committed == sb_off`) and the word at
+/// was implicitly committed (frontier `sb_off`) and the word at
 /// `DESC_COMMITTED_LEN_OFF` was zeroed slack. A *clean* v4 image
 /// therefore migrates in place: write the descriptor frontier word with
 /// the v4 semantics (`sb_off`, everything committed), persist it, then
@@ -162,6 +162,65 @@ pub struct Geometry {
     pub sb_off: usize,
 }
 
+/// A pool region that commits and releases space at run time behind its
+/// own persisted frontier word (v5). The discriminant is the region's
+/// index in the pool partition; region 0, the metadata, is always fully
+/// committed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Region {
+    /// One descriptor per superblock.
+    Desc = 1,
+    /// The superblock array; the last region, so its frontier is the
+    /// pool's physical prefix.
+    Sb = 2,
+}
+
+impl Region {
+    /// Both growable regions, superblocks first: the order carve grows
+    /// them in and shrink releases them in.
+    pub const ALL: [Region; 2] = [Region::Sb, Region::Desc];
+
+    /// Metadata offset of the region's persisted frontier word.
+    #[inline]
+    pub const fn word_off(self) -> usize {
+        match self {
+            Region::Desc => DESC_COMMITTED_LEN_OFF,
+            Region::Sb => COMMITTED_LEN_OFF,
+        }
+    }
+}
+
+/// One region's frontier arithmetic: `units` slots of `unit` bytes from
+/// `base`. A legal frontier lies in `base..=end`; `base` is the smallest
+/// (nothing committed).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// Byte offset of unit 0.
+    pub base: usize,
+    /// Bytes per unit.
+    pub unit: usize,
+    /// Capacity in units.
+    pub units: usize,
+    /// Largest legal frontier.
+    pub end: usize,
+}
+
+impl Span {
+    /// Units fully covered by a frontier of `frontier` bytes (clamped to
+    /// capacity).
+    #[inline]
+    pub fn covered(&self, frontier: usize) -> usize {
+        (frontier.saturating_sub(self.base) / self.unit).min(self.units)
+    }
+
+    /// The frontier (bytes) that backs the first `n` units.
+    #[inline]
+    pub fn len_for(&self, n: usize) -> usize {
+        debug_assert!(n <= self.units);
+        self.base + n * self.unit
+    }
+}
+
 impl Geometry {
     /// Compute geometry from a pool length. The superblock array starts at
     /// the first 64 KiB-aligned offset past the descriptors; `max_sb` is
@@ -190,63 +249,21 @@ impl Geometry {
         sb_off + sbs * SB_SIZE
     }
 
-    // ---- reserve/commit views ----
-    //
-    // Geometry is a pure function of the *reserved* span, so the
-    // desc↔sb shift/mask correspondence never changes as the heap grows;
-    // the committed frontiers only bound how much of the descriptor and
-    // superblock regions is currently backed. Since v5 the two regions
-    // carry *independent* persisted frontiers: the superblock frontier
-    // (`COMMITTED_LEN_OFF`) lives in `[sb_off, pool_len]` and the
-    // descriptor frontier (`DESC_COMMITTED_LEN_OFF`) in
-    // `[desc_off, sb_off]`, so neither is derived from the other through
-    // the region ratio.
-
-    /// The smallest legal *superblock-region* committed frontier: the
-    /// superblock array's base offset (zero superblocks committed). Also
-    /// the smallest physical pool prefix a heap image can have, since
-    /// the metadata and descriptor regions precede the superblock array.
+    /// The frontier arithmetic of `region`. Geometry is a pure function
+    /// of the *reserved* span, so these views never move as the heap
+    /// grows; a committed frontier only bounds how much of the region is
+    /// backed. Each region has its own persisted frontier word (v5), so
+    /// neither frontier is derived from the other.
     #[inline]
-    pub fn min_committed(&self) -> usize {
-        self.sb_off
-    }
-
-    /// The smallest legal *descriptor-region* committed frontier: the
-    /// descriptor array's base offset (zero descriptors committed).
-    #[inline]
-    pub fn min_desc_committed(&self) -> usize {
-        self.desc_off
-    }
-
-    /// Number of descriptors fully covered by a descriptor-region
-    /// frontier of `desc_frontier` bytes (clamped to capacity).
-    #[inline]
-    pub fn desc_committed_sb(&self, desc_frontier: usize) -> usize {
-        (desc_frontier.saturating_sub(self.desc_off) / DESC_SIZE).min(self.max_sb)
-    }
-
-    /// The descriptor-region frontier (bytes) needed to back the first
-    /// `sbs` descriptors. Always `<= sb_off` (the descriptor region's
-    /// alignment slack before the superblock array is never needed).
-    #[inline]
-    pub fn desc_committed_len_for_sb(&self, sbs: usize) -> usize {
-        debug_assert!(sbs <= self.max_sb);
-        self.desc_off + sbs * DESC_SIZE
-    }
-
-    /// Number of superblocks fully covered by a committed frontier of
-    /// `committed_len` bytes (clamped to capacity).
-    #[inline]
-    pub fn committed_sb(&self, committed_len: usize) -> usize {
-        (committed_len.saturating_sub(self.sb_off) / SB_SIZE).min(self.max_sb)
-    }
-
-    /// The committed frontier (bytes) needed to back the first `sbs`
-    /// superblocks.
-    #[inline]
-    pub fn committed_len_for_sb(&self, sbs: usize) -> usize {
-        debug_assert!(sbs <= self.max_sb);
-        self.sb_off + sbs * SB_SIZE
+    pub fn span(&self, region: Region) -> Span {
+        match region {
+            Region::Desc => {
+                Span { base: self.desc_off, unit: DESC_SIZE, units: self.max_sb, end: self.sb_off }
+            }
+            Region::Sb => {
+                Span { base: self.sb_off, unit: SB_SIZE, units: self.max_sb, end: self.pool_len }
+            }
+        }
     }
 
     /// Byte offset of descriptor `i`.
@@ -342,21 +359,30 @@ mod tests {
         Geometry::from_pool_len(1024);
     }
 
+    /// The parameterised view round-trips `len_for`/`covered`, never
+    /// counts a partially covered unit, clamps to capacity, and keeps its
+    /// full commit inside the region.
+    fn span_round_trips_and_clamps(g: &Geometry, region: Region) -> Span {
+        let s = g.span(region);
+        assert_eq!(s.covered(s.base), 0);
+        assert_eq!(s.covered(0), 0, "frontier below the base covers nothing");
+        for n in [0usize, 1, 7, s.units] {
+            let len = s.len_for(n);
+            assert_eq!(s.covered(len), n);
+            if n < s.units {
+                assert_eq!(s.covered(len + s.unit - 1), n);
+            }
+        }
+        assert_eq!(s.covered(usize::MAX), s.units, "clamped to capacity");
+        assert!(s.len_for(s.units) <= s.end, "full commit fits the region");
+        s
+    }
+
     #[test]
     fn committed_views_round_trip_and_clamp() {
         let g = Geometry::from_pool_len(64 << 20);
-        assert_eq!(g.committed_sb(g.min_committed()), 0);
-        assert_eq!(g.committed_sb(0), 0, "frontier below sb_off covers nothing");
-        for sbs in [0usize, 1, 7, g.max_sb] {
-            let len = g.committed_len_for_sb(sbs);
-            assert_eq!(g.committed_sb(len), sbs);
-            // A partially-covered superblock does not count.
-            if sbs < g.max_sb {
-                assert_eq!(g.committed_sb(len + SB_SIZE - 1), sbs);
-            }
-        }
-        assert_eq!(g.committed_sb(usize::MAX), g.max_sb, "clamped to capacity");
-        assert!(g.committed_len_for_sb(g.max_sb) <= g.pool_len, "full commit fits the pool");
+        let s = span_round_trips_and_clamps(&g, Region::Sb);
+        assert_eq!((s.base, s.unit, s.end), (g.sb_off, SB_SIZE, g.pool_len));
     }
 
     #[test]
@@ -388,23 +414,10 @@ mod tests {
     #[test]
     fn desc_committed_views_round_trip_and_clamp() {
         let g = Geometry::from_pool_len(64 << 20);
-        assert_eq!(g.desc_committed_sb(g.min_desc_committed()), 0);
-        assert_eq!(g.desc_committed_sb(0), 0, "frontier below desc_off covers nothing");
-        for sbs in [0usize, 1, 7, g.max_sb] {
-            let len = g.desc_committed_len_for_sb(sbs);
-            assert_eq!(g.desc_committed_sb(len), sbs);
-            if sbs < g.max_sb {
-                // A partially-covered descriptor does not count.
-                assert_eq!(g.desc_committed_sb(len + DESC_SIZE - 1), sbs);
-            }
-        }
-        assert_eq!(g.desc_committed_sb(usize::MAX), g.max_sb, "clamped to capacity");
-        assert!(
-            g.desc_committed_len_for_sb(g.max_sb) <= g.sb_off,
-            "full descriptor commit fits before the superblock array"
-        );
+        let s = span_round_trips_and_clamps(&g, Region::Desc);
+        assert_eq!((s.base, s.unit, s.end), (g.desc_off, DESC_SIZE, g.sb_off));
         // The two regions' frontier domains only meet at sb_off.
-        assert!(g.min_desc_committed() < g.min_committed());
+        assert_eq!(s.end, g.span(Region::Sb).base);
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! | [`size_class`] | §4.2 | 39 small classes + large class 0 |
 //! | [`anchor`] | §4.2 | packed avail/count/state CAS word |
 //! | [`layout`] | §4.2, Fig. 2 | metadata/descriptor/superblock regions |
+//! | `frontier` | §4.3 | one grow/shrink/validation protocol per growable region |
 //! | [`descriptor`] | §4.2 | per-superblock descriptors |
 //! | [`lists`] | §4.2 | ABA-counted Treiber stacks of descriptors |
 //! | [`shard`] | beyond §4.2 | sharded partial lists + work stealing |
@@ -46,6 +47,7 @@ pub mod anchor;
 pub mod checker;
 pub mod descriptor;
 pub mod flight;
+mod frontier;
 pub mod gc;
 pub mod heap;
 pub mod layout;
@@ -474,6 +476,36 @@ mod tests {
         );
         let geo = layout::Geometry::from_pool_len(heap2.pool().len());
         assert_eq!(word as usize, geo.sb_off);
+    }
+
+    #[test]
+    fn shrink_releases_descriptor_overshoot_above_used() {
+        // A migrated v4 image commits its whole descriptor region while
+        // `used` stays at one superblock, and its superblock frontier
+        // already sits on `used` (close shrank it). Shrink must still
+        // lower the descriptor frontier: each region decides on its own.
+        let heap = small_heap();
+        assert!(!heap.malloc(64).is_null());
+        heap.close().unwrap();
+        let mut image = heap.pool().persistent_image();
+        image[0] = 4;
+        image[layout::DESC_COMMITTED_LEN_OFF..layout::DESC_COMMITTED_LEN_OFF + 8].fill(0);
+
+        let (heap2, dirty) = Ralloc::from_image(&image, RallocConfig::default());
+        assert!(!dirty);
+        assert_eq!(heap2.used_superblocks(), 1);
+        assert_eq!(heap2.committed_superblocks(), 1, "superblock frontier already on used");
+        assert_eq!(heap2.shrink(), 0, "the return value counts superblocks only");
+        let word = u64::from_ne_bytes(
+            heap2.pool().persistent_image()
+                [layout::DESC_COMMITTED_LEN_OFF..layout::DESC_COMMITTED_LEN_OFF + 8]
+                .try_into()
+                .unwrap(),
+        );
+        let geo = heap2.geometry();
+        assert_eq!(word as usize, geo.span(layout::Region::Desc).len_for(1));
+        assert!(check_heap(&heap2).is_consistent());
+        assert!(!heap2.malloc(64).is_null());
     }
 
     #[test]

@@ -60,9 +60,10 @@ use telemetry::EventKind;
 
 use crate::anchor::{Anchor, SbState};
 use crate::descriptor::{Desc, DescKind};
+use crate::frontier;
 use crate::gc::{MarkSet, TraceFn, Tracer};
-use crate::heap::HeapInner;
-use crate::layout::NUM_ROOTS;
+use crate::heap::{HeapInner, ShrinkPolicy};
+use crate::layout::{Region, NUM_ROOTS};
 use crate::lists::DescList;
 use crate::shard::{place_superblock, ShardedPartial};
 use crate::size_class::{class_block_size, class_max_count, NUM_CLASSES};
@@ -130,30 +131,21 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     // lists this function is about to reset and rebuild.
     inner.quiesce_caches();
 
-    // Frontier reconciliation (reserve/commit model): the durable
-    // frontier word is the surviving truth after a crash; refresh the
-    // runtime safe-frontier from it, and validate that the used prefix —
-    // the only region recovery sweeps — lies inside committed space. The
-    // grow protocol persists the frontier word *before* any `used` bump
-    // that relies on it, so a violation here means a corrupt or
-    // hand-truncated image, not a crash timing.
-    inner.reload_frontier();
-    assert!(
-        used <= geo.committed_sb(pool.committed_len()),
-        "recovery: used superblocks ({used}) extend past the committed frontier \
-         ({} bytes) — corrupt image",
-        pool.committed_len()
-    );
-    // Same rule against the descriptor region's own frontier (v5): every
-    // used superblock's descriptor must sit under the durable descriptor
-    // frontier, because `grow_desc` fences its word before `used` may
-    // rise past it. `reload_frontier` above already refreshed the runtime
-    // safe-frontier from the surviving word.
-    assert!(
-        used <= inner.desc_committed_sb(),
-        "recovery: used superblocks ({used}) have descriptors past the \
-         descriptor frontier — corrupt image"
-    );
+    // Frontier reconciliation (reserve/commit model): each region's
+    // durable frontier word is the surviving truth after a crash; refresh
+    // the published frontier from it, and validate that the used prefix
+    // — the only part recovery sweeps — lies under both words. The grow
+    // protocol persists a word *before* any `used` bump that relies on
+    // it, so a violation here means a corrupt or hand-truncated image,
+    // not a crash timing.
+    for f in inner.frontiers() {
+        f.reload(pool);
+    }
+    for region in Region::ALL {
+        if let Err(e) = frontier::validate(pool, geo, region, used) {
+            panic!("recovery: {e} — corrupt image");
+        }
+    }
 
     // Bins parked by pre-crash thread exits are DRAM state: their blocks
     // are about to be reclaimed (or kept) by the trace like any other
@@ -172,8 +164,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     for class in 0..NUM_CLASSES as u32 {
         ShardedPartial::new(class, inner.shards()).reset_all(pool, geo);
     }
-    inner.journal.record(EventKind::RecoveryReconcile, used as u64, threads as u64);
-    inner.flight_record(EventKind::RecoveryReconcile, used as u64, threads as u64);
+    inner.record(EventKind::RecoveryReconcile, used as u64, threads as u64);
 
     // Gather the registered roots (step 4 already happened via get_root).
     let mut roots: Vec<(usize, Option<TraceFn>)> = Vec::new();
@@ -301,18 +292,9 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
             stats.full_superblocks += full;
         }
     }
-    inner.journal.record(EventKind::RecoverySweep, stats.reachable_blocks, used as u64);
-    inner.flight_record(EventKind::RecoverySweep, stats.reachable_blocks, used as u64);
-    inner.journal.record(
-        EventKind::RecoverySplice,
-        stats.partial_superblocks as u64,
-        stats.free_superblocks as u64,
-    );
-    inner.flight_record(
-        EventKind::RecoverySplice,
-        stats.partial_superblocks as u64,
-        stats.free_superblocks as u64,
-    );
+    inner.record(EventKind::RecoverySweep, stats.reachable_blocks, used as u64);
+    let (partial, free) = (stats.partial_superblocks as u64, stats.free_superblocks as u64);
+    inner.record(EventKind::RecoverySplice, partial, free);
 
     // Quiescent-point shrink (the recovery half of the bidirectional
     // frontier): the sweep just rebuilt the lists, so the trailing run of
@@ -321,7 +303,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     // crash-safe order documented on `shrink_quiesced`. A restart whose
     // live set collapsed thereby restarts at live-set footprint instead
     // of its high-water mark.
-    if inner.shrink_policy().at_recovery() {
+    if inner.shrink_policy() == ShrinkPolicy::Both {
         stats.shrunk_superblocks = inner.shrink_quiesced();
     }
 
@@ -722,7 +704,7 @@ mod tests {
 mod parallel_tests {
     use crate::checker::check_heap;
     use crate::gc::{Trace, Tracer};
-    use crate::heap::{Ralloc, RallocConfig};
+    use crate::heap::{Ralloc, RallocConfig, ShrinkPolicy};
     use pptr::Pptr;
 
     #[repr(C)]
@@ -767,7 +749,7 @@ mod parallel_tests {
         let heap = Ralloc::create(
             32 << 20,
             RallocConfig {
-                shrink_policy: crate::heap::ShrinkPolicy::Off,
+                shrink_policy: ShrinkPolicy::Off,
                 ..RallocConfig::tracked()
             },
         );

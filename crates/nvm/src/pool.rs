@@ -180,8 +180,8 @@ enum Backing {
     /// reservation. Stores land in the OS page cache, which survives the
     /// death of the process — the property the SIGKILL harness tests
     /// against. The invariant maintained throughout: **file length ==
-    /// committed frontier** (`commit_to` extends the file before
-    /// publishing, `decommit_to` truncates after unmapping), so a reopen
+    /// committed frontier** (a commit extends the file before publishing,
+    /// a decommit truncates after unmapping), so a reopen
     /// can equate the two exactly as the load path always has.
     File {
         file: fs::File,
@@ -203,15 +203,21 @@ enum Backing {
 /// ## Reserve/commit capacity model
 ///
 /// The pool distinguishes its **reserved** span ([`PmemPool::len`], the
-/// fixed virtual extent the allocation was created with — cheap, because
-/// zero pages are materialized lazily by the OS, exactly like a large
+/// fixed virtual extent the allocation was created with, like a
 /// `PROT_NONE`/`mmap` reservation over a DAX file) from its **committed**
 /// frontier ([`PmemPool::committed_len`], the prefix that is actually
 /// backed and usable). All access checks, flushes, crash semantics, and
-/// image save/load are confined to the committed prefix;
-/// [`PmemPool::commit_to`] grows the frontier monotonically, never past
-/// the reserved span. Pools built through the plain constructors are
+/// image save/load are confined to the committed prefix. The frontier
+/// moves only through the region API: [`PmemPool::define_regions`]
+/// partitions the span once, then [`PmemPool::commit_region_to`] and
+/// [`PmemPool::decommit_region_to`] move one region's frontier, never
+/// past the reserved span. Pools built through the plain constructors are
 /// fully committed, which is the historical one-fixed-pool behavior.
+///
+/// A heap-backed reservation is not free: `alloc_zeroed` zeroes the whole
+/// reserved span up front, so its resident size follows the reserve, not
+/// the committed prefix. A file mapping reserves with `PROT_NONE` and
+/// backs only the committed prefix.
 pub struct PmemPool {
     base: *mut u8,
     len: usize,
@@ -221,9 +227,10 @@ pub struct PmemPool {
     /// end across regions.
     committed: AtomicUsize,
     /// Optional multi-region partition of the span, set once by
-    /// [`PmemPool::define_regions`]. When present, per-region frontiers
-    /// gate fine-grained access ([`PmemPool::check_range`]) and the
-    /// region commit/decommit entry points replace the whole-pool ones.
+    /// [`PmemPool::define_regions`]. Per-region frontiers gate
+    /// fine-grained access ([`PmemPool::check_range`]), and the region
+    /// commit/decommit calls are the only way to move a frontier: an
+    /// unpartitioned pool keeps the prefix it was built with.
     regions: std::sync::OnceLock<Box<[Region]>>,
     backing: Backing,
     /// Advisory lock on the pool file, held for the pool's lifetime when
@@ -263,10 +270,9 @@ impl PmemPool {
     }
 
     /// Create a pool with a `reserved` virtual span of which only the
-    /// first `committed` bytes are initially usable. The reservation is
-    /// cheap: the zeroed allocation materializes pages lazily, so an
-    /// uncommitted tail costs address space, not memory. Grow the usable
-    /// prefix later with [`PmemPool::commit_to`].
+    /// first `committed` bytes are initially usable. The whole reserved
+    /// span is allocated and zeroed here. Grow the usable prefix later
+    /// through the region API ([`PmemPool::commit_region_to`]).
     pub fn with_reserve(
         reserved: usize,
         committed: usize,
@@ -283,9 +289,9 @@ impl PmemPool {
         assert!(!base.is_null(), "pmem pool allocation of {len} bytes failed");
         let tracked = match mode {
             Mode::Direct => None,
-            // The shadow spans the whole reservation (lazy zero pages, same
-            // trick as the volatile image); the committed frontier bounds
-            // what flush/crash ever touch of it.
+            // The shadow spans the whole reservation, like the volatile
+            // image; the committed frontier bounds what flush/crash ever
+            // touch of it.
             Mode::Tracked => Some(Mutex::new(TrackState {
                 shadow: vec![0u8; len].into_boxed_slice(),
                 pending: HashMap::new(),
@@ -479,29 +485,20 @@ impl PmemPool {
         assert!(self.regions.set(regions).is_ok(), "pool regions already defined");
     }
 
-    /// Number of defined regions (0 when the pool is unpartitioned).
-    pub fn region_count(&self) -> usize {
-        self.regions.get().map_or(0, |r| r.len())
-    }
-
-    /// Region `idx`'s committed frontier (absolute bytes).
-    pub fn region_committed(&self, idx: usize) -> usize {
-        let regions = self.regions.get().expect("no regions defined");
-        regions[idx].committed.load(Ordering::Acquire)
-    }
-
-    /// Region `idx`'s fixed `[start, end)` bounds.
-    pub fn region_bounds(&self, idx: usize) -> (usize, usize) {
-        let regions = self.regions.get().expect("no regions defined");
-        (regions[idx].start, regions[idx].end)
-    }
-
     /// Grow region `idx`'s committed frontier to at least `new_len`
     /// (absolute bytes, rounded up to a cache line). Monotonic, never
     /// past the region's end. The physical prefix is raised first when
     /// the target outruns it (only possible for the last region), so the
     /// accounting frontier never exposes unbacked bytes. Returns the
     /// resulting frontier.
+    ///
+    /// Committing only makes memory *usable*; durability of any state
+    /// that records the frontier is the caller's business (the allocator
+    /// persists its frontier word before relying on the new space).
+    ///
+    /// # Panics
+    /// If `new_len` lies outside the region (so never past the reserved
+    /// span), or if no regions are defined.
     pub fn commit_region_to(&self, idx: usize, new_len: usize) -> usize {
         let regions = self.regions.get().expect("no regions defined");
         let r = &regions[idx];
@@ -519,37 +516,30 @@ impl PmemPool {
     }
 
     /// Shrink region `idx`'s committed frontier to `new_len` (absolute
-    /// bytes), releasing the region's tail. For the last region this is
-    /// a physical release (pages returned, file truncated) exactly like
-    /// [`PmemPool::decommit_to`]; for an interior region the bytes stay
-    /// physically backed (they are interior to the pool prefix) but the
-    /// released range is zeroed — volatile image, pending flushes, and
-    /// shadow — so a later re-commit observes fresh zero pages and no
-    /// stale data can resurrect through a crash. Growing requests are
-    /// no-ops. Quiescence contract as for [`PmemPool::decommit_to`].
+    /// bytes, rounded up to a cache line), releasing the region's tail —
+    /// the `madvise(MADV_DONTNEED)` analogue. The reserved span and all
+    /// geometry derived from it are untouched, and a later
+    /// [`PmemPool::commit_region_to`] over the released range reads fresh
+    /// zero pages. Growing requests are no-ops. Returns the resulting
+    /// frontier.
+    ///
+    /// For the last region this is a physical release (pages returned,
+    /// file truncated); an interior region's bytes stay physically backed
+    /// (they lie under the pool prefix) but the released range is zeroed.
+    /// Either way the released range leaves the persistent image too:
+    /// pending (flushed-unfenced) lines in it are dropped and the shadow
+    /// is zeroed, so no stale data can resurrect through a crash.
+    ///
+    /// The caller must be quiescent (no concurrent access to the released
+    /// range): decommit is a close/recovery-time operation, never an
+    /// online one. Durability of whatever records the new frontier is the
+    /// caller's business — the allocator persists its frontier word
+    /// *before* decommitting, so a crash at any point leaves a frontier
+    /// at least as large as every persisted use of the space.
     pub fn decommit_region_to(&self, idx: usize, new_len: usize) -> usize {
         let regions = self.regions.get().expect("no regions defined");
         let r = &regions[idx];
         let new_len = line_up(new_len.max(r.start).max(CACHE_LINE));
-        if idx == regions.len() - 1 {
-            // CAS-min the accounting frontier, then release physically.
-            let mut cur = r.committed.load(Ordering::Acquire);
-            loop {
-                if new_len >= cur {
-                    return cur;
-                }
-                match r.committed.compare_exchange(
-                    cur,
-                    new_len,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => break,
-                    Err(c) => cur = c,
-                }
-            }
-            return self.physical_decommit_to(new_len);
-        }
         if let Some(inj) = &self.injector {
             inj.on_event();
         }
@@ -564,6 +554,9 @@ impl PmemPool {
                 Err(c) => cur = c,
             }
         }
+        if idx == regions.len() - 1 {
+            return self.physical_decommit_to(new_len);
+        }
         // SAFETY: new_len..cur is interior to the physically backed
         // prefix; quiescence is the caller's contract.
         unsafe { std::ptr::write_bytes(self.base.add(new_len), 0, cur - new_len) };
@@ -575,31 +568,13 @@ impl PmemPool {
         new_len
     }
 
-    /// Grow the committed frontier to cover at least `new_len` bytes
-    /// (rounded up to a cache line). Monotonic — a smaller request is a
-    /// no-op — and never shrinks. Returns the resulting frontier.
-    ///
-    /// Committing only makes memory *usable*; durability of any state
-    /// that records the frontier is the caller's business (the allocator
-    /// persists its frontier word before relying on the new space).
-    ///
-    /// # Panics
-    /// If `new_len` exceeds the reserved span, or if the pool has been
-    /// partitioned with [`PmemPool::define_regions`] (use
-    /// [`PmemPool::commit_region_to`] then).
-    pub fn commit_to(&self, new_len: usize) -> usize {
-        assert!(
-            self.regions.get().is_none(),
-            "pool has regions defined: use commit_region_to"
-        );
-        self.physical_commit_to(new_len)
-    }
-
+    /// Raise the physical prefix (file length / backed pages) to
+    /// `new_len`, monotonically, never past the reserved span.
     fn physical_commit_to(&self, new_len: usize) -> usize {
         let new_len = line_up(new_len);
         assert!(
             new_len <= self.len,
-            "commit_to({new_len}) exceeds reserved span {}",
+            "commit of {new_len} bytes exceeds reserved span {}",
             self.len
         );
         if let Backing::File { file, remap } = &self.backing {
@@ -635,44 +610,9 @@ impl PmemPool {
         self.committed.fetch_max(new_len, Ordering::AcqRel).max(new_len)
     }
 
-    /// Shrink the committed frontier to `new_len` bytes (rounded up to a
-    /// cache line), releasing the tail back to the OS — the
-    /// `madvise(MADV_DONTNEED)` analogue for the reserve/commit model.
-    /// The reserved span and all geometry derived from it are untouched;
-    /// a later [`PmemPool::commit_to`] over the released range reads
-    /// fresh zero pages, exactly like never-committed reservation. A
-    /// growing request is a no-op (mirroring `commit_to`'s monotonicity
-    /// in the other direction). Returns the resulting frontier.
-    ///
-    /// In [`Mode::Tracked`] the released tail is also dropped from the
-    /// persistent image: pending (flushed-unfenced) lines beyond the new
-    /// frontier are discarded and the shadow is zeroed, so no stale data
-    /// can resurrect through a crash after a re-grow.
-    ///
-    /// The caller must be quiescent (no concurrent access to the released
-    /// range): decommit is a close/recovery-time operation, never an
-    /// online one. Durability of whatever records the new frontier is the
-    /// caller's business — the allocator persists its frontier word
-    /// *before* decommitting, so a crash at any point leaves a frontier
-    /// at least as large as every persisted use of the space.
-    ///
-    /// # Panics
-    /// If the pool has been partitioned with
-    /// [`PmemPool::define_regions`] (use
-    /// [`PmemPool::decommit_region_to`] then).
-    pub fn decommit_to(&self, new_len: usize) -> usize {
-        assert!(
-            self.regions.get().is_none(),
-            "pool has regions defined: use decommit_region_to"
-        );
-        self.physical_decommit_to(new_len)
-    }
-
+    /// Lower the physical prefix to `new_len` and release the tail: the
+    /// last region's half of [`PmemPool::decommit_region_to`].
     fn physical_decommit_to(&self, new_len: usize) -> usize {
-        let new_len = line_up(new_len.max(CACHE_LINE));
-        if let Some(inj) = &self.injector {
-            inj.on_event();
-        }
         let mut cur = self.committed.load(Ordering::Acquire);
         loop {
             if new_len >= cur {
@@ -1011,7 +951,7 @@ impl PmemPool {
     /// Load a file into a pool whose reserved span is `reserved` bytes
     /// (at least the file length). The file content becomes the committed
     /// prefix; the tail is uncommitted reservation, ready for
-    /// [`PmemPool::commit_to`]. This is how a growable heap reopens an
+    /// [`PmemPool::commit_region_to`]. This is how a growable heap reopens an
     /// image that was saved before it reached full size.
     pub fn load_reserving(
         path: &Path,
@@ -1265,27 +1205,40 @@ mod tests {
         assert_eq!(s.fences, 1);
     }
 
+    /// Partition `pool` into an always-committed 2 KiB head (interior
+    /// region 0) and a growable tail (last region 1) at the current
+    /// physical prefix.
+    fn two_regions(pool: &PmemPool) {
+        pool.define_regions(&[
+            RegionSpec { start: 0, end: 2048, committed: 2048 },
+            RegionSpec { start: 2048, end: pool.len(), committed: pool.committed_len() },
+        ]);
+    }
+
     #[test]
     fn reserve_starts_uncommitted_and_commit_grows_monotonically() {
         let pool = PmemPool::with_reserve(1 << 20, 4096, Mode::Direct, FlushModel::free(), None);
+        two_regions(&pool);
         assert_eq!(pool.len(), 1 << 20);
         assert_eq!(pool.committed_len(), 4096);
         assert!(pool.check_range(0, 4096));
         assert!(!pool.check_range(4096, 1), "uncommitted tail must be out of range");
-        assert_eq!(pool.commit_to(8192), 8192);
+        assert_eq!(pool.commit_region_to(1, 8192), 8192);
+        assert_eq!(pool.committed_len(), 8192, "the last region drives the physical prefix");
         assert!(pool.check_range(4096, 4096));
         // Shrinking requests are no-ops (frontier is monotone).
-        assert_eq!(pool.commit_to(4096), 8192);
+        assert_eq!(pool.commit_region_to(1, 4096), 8192);
         assert_eq!(pool.committed_len(), 8192);
         // Committed space is zeroed like the rest of the pool.
         assert_eq!(read_byte(&pool, 8191), 0);
     }
 
     #[test]
-    #[should_panic(expected = "exceeds reserved span")]
+    #[should_panic(expected = "outside region")]
     fn commit_beyond_reserved_panics() {
         let pool = PmemPool::with_reserve(1 << 16, 4096, Mode::Direct, FlushModel::free(), None);
-        pool.commit_to((1 << 16) + 64);
+        two_regions(&pool);
+        pool.commit_region_to(1, (1 << 16) + 64);
     }
 
     #[test]
@@ -1298,10 +1251,11 @@ mod tests {
     #[test]
     fn crash_and_images_are_confined_to_the_committed_prefix() {
         let pool = PmemPool::with_reserve(1 << 16, 4096, Mode::Tracked, FlushModel::free(), None);
+        two_regions(&pool);
         write_bytes(&pool, 128, &[7; 8]);
         pool.persist(128, 8);
         assert_eq!(pool.persistent_image().len(), 4096, "image = committed prefix");
-        pool.commit_to(8192);
+        pool.commit_region_to(1, 8192);
         write_bytes(&pool, 4096, &[9; 8]); // committed but never flushed
         pool.crash();
         assert_eq!(read_byte(&pool, 128), 7, "persisted line survives");
@@ -1320,7 +1274,8 @@ mod tests {
         {
             let pool =
                 PmemPool::with_reserve(1 << 20, 4096, Mode::Direct, FlushModel::free(), None);
-            pool.commit_to(12288);
+            two_regions(&pool);
+            pool.commit_region_to(1, 12288);
             write_bytes(&pool, 8192, b"tail");
             pool.save(&file).unwrap();
         }
@@ -1334,7 +1289,8 @@ mod tests {
         // Loaded content counts as persistent; the tail stays growable.
         pool.crash();
         assert_eq!(read_byte(&pool, 8192), b't');
-        pool.commit_to(1 << 20);
+        two_regions(&pool);
+        pool.commit_region_to(1, 1 << 20);
         assert!(pool.check_range(0, 1 << 20));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1342,20 +1298,21 @@ mod tests {
     #[test]
     fn decommit_releases_tail_and_regrow_reads_zero_pages() {
         let pool = PmemPool::with_reserve(1 << 20, 4096, Mode::Tracked, FlushModel::free(), None);
-        pool.commit_to(16384);
+        two_regions(&pool);
+        pool.commit_region_to(1, 16384);
         write_bytes(&pool, 8192, &[0xAA; 64]);
         pool.persist(8192, 64);
         assert_eq!(pool.committed_len(), 16384);
         // Shrink back below the persisted data.
-        assert_eq!(pool.decommit_to(4096), 4096);
+        assert_eq!(pool.decommit_region_to(1, 4096), 4096);
         assert_eq!(pool.committed_len(), 4096);
         assert!(!pool.check_range(4096, 1), "released tail must be out of range");
         assert_eq!(pool.persistent_image().len(), 4096, "image = shrunken prefix");
-        // Growing requests through decommit_to are no-ops.
-        assert_eq!(pool.decommit_to(1 << 20), 4096);
+        // Growing requests through a decommit are no-ops.
+        assert_eq!(pool.decommit_region_to(1, 1 << 20), 4096);
         // Recommit: the released range reads as fresh zero pages, in both
         // the volatile image and the persistent shadow.
-        pool.commit_to(16384);
+        pool.commit_region_to(1, 16384);
         assert_eq!(read_byte(&pool, 8192), 0, "stale volatile data resurrected");
         pool.crash();
         assert_eq!(read_byte(&pool, 8192), 0, "stale shadow data resurrected");
@@ -1364,12 +1321,47 @@ mod tests {
     #[test]
     fn decommit_discards_pending_flushes_beyond_the_new_frontier() {
         let pool = PmemPool::with_reserve(1 << 16, 8192, Mode::Tracked, FlushModel::free(), None);
+        two_regions(&pool);
         write_bytes(&pool, 4096, &[7; 8]);
         pool.flush(4096, 8); // flushed but NOT fenced
-        pool.decommit_to(4096);
-        pool.commit_to(8192);
+        pool.decommit_region_to(1, 4096);
+        pool.commit_region_to(1, 8192);
         pool.fence(); // must not resurrect the dropped pending line
         pool.crash();
+        assert_eq!(read_byte(&pool, 4096), 0);
+    }
+
+    #[test]
+    fn interior_region_decommit_zeroes_in_place_and_keeps_the_prefix() {
+        // Interior region [0, 8192) then the last region to the end.
+        let pool = PmemPool::with_reserve(1 << 16, 12288, Mode::Tracked, FlushModel::free(), None);
+        pool.define_regions(&[
+            RegionSpec { start: 0, end: 8192, committed: 8192 },
+            RegionSpec { start: 8192, end: 1 << 16, committed: 12288 },
+        ]);
+        write_bytes(&pool, 4096, &[0xAA; 64]);
+        pool.persist(4096, 64); // durable
+        write_bytes(&pool, 6144, &[0xBB; 8]);
+        pool.flush(6144, 8); // pending: flushed but not fenced
+        write_bytes(&pool, 1024, &[0xCC; 8]);
+        pool.persist(1024, 8); // below the new frontier: must survive
+        assert_eq!(pool.decommit_region_to(0, 4096), 4096);
+        // The bytes stay physically backed: the prefix does not move, and
+        // the region's released tail is out of range.
+        assert_eq!(pool.committed_len(), 12288);
+        assert!(!pool.check_range(4096, 64), "released interior tail must be out of range");
+        assert!(pool.check_range(8192, 4096), "the last region is untouched");
+        assert_eq!(read_byte(&pool, 4096), 0, "volatile image zeroed");
+        pool.fence(); // must not resurrect the dropped pending line
+        pool.crash();
+        assert_eq!(read_byte(&pool, 4096), 0, "shadow zeroed");
+        assert_eq!(read_byte(&pool, 6144), 0, "pending line dropped");
+        assert_eq!(read_byte(&pool, 1024), 0xCC, "data below the frontier survives");
+        // Growing requests through a decommit are no-ops; a recommit
+        // reads zeros.
+        assert_eq!(pool.decommit_region_to(0, 8192), 4096);
+        assert_eq!(pool.commit_region_to(0, 8192), 8192);
+        assert!(pool.check_range(4096, 4096));
         assert_eq!(read_byte(&pool, 4096), 0);
     }
 

@@ -30,9 +30,9 @@ use ralloc::anchor::SbState;
 use ralloc::descriptor::{Desc, DescKind};
 use ralloc::flight;
 use ralloc::layout::{
-    Geometry, COMMITTED_LEN_OFF, DESC_COMMITTED_LEN_OFF, DIRTY_OFF, FLIGHT_CAP, FLIGHT_MAGIC,
-    FLIGHT_OFF, MAGIC, MAGIC_OFF, MAGIC_V3, MAGIC_V4, MAX_SB_OFF, META_SIZE, NUM_ROOTS,
-    POOL_LEN_OFF, USED_SB_OFF,
+    Geometry, Region, COMMITTED_LEN_OFF, DESC_COMMITTED_LEN_OFF, DIRTY_OFF, FLIGHT_CAP,
+    FLIGHT_MAGIC, FLIGHT_OFF, MAGIC, MAGIC_OFF, MAGIC_V3, MAGIC_V4, MAX_SB_OFF, META_SIZE,
+    NUM_ROOTS, POOL_LEN_OFF, USED_SB_OFF,
 };
 use ralloc::{FlightScan, Ralloc, RallocConfig};
 use std::sync::atomic::Ordering;
@@ -142,10 +142,11 @@ pub fn dump(image: &[u8]) -> String {
         ));
         if magic == MAGIC {
             let dw = word(image, DESC_COMMITTED_LEN_OFF).unwrap_or(0) as usize;
-            let ok = dw >= geo.desc(0) && dw <= geo.sb(0);
+            let span = geo.span(Region::Desc);
+            let ok = dw >= span.base && dw <= span.end;
             s.push_str(&format!(
                 "desc committed:   {} of {} descriptors{}\n",
-                geo.desc_committed_sb(dw),
+                span.covered(dw),
                 geo.max_sb,
                 if ok { "" } else { "  (frontier OUTSIDE the descriptor region)" },
             ));
@@ -299,7 +300,7 @@ pub fn stats(image: &[u8]) -> Result<HeapStats, String> {
     let mut out = HeapStats {
         dirty,
         used_sb: used,
-        committed_sb: geo.committed_sb(pool.committed_len()),
+        committed_sb: geo.span(Region::Sb).covered(pool.committed_len()),
         classes: vec![ClassStats::default(); ralloc::size_class::NUM_CLASSES],
         ..Default::default()
     };
